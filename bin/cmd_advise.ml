@@ -1,16 +1,18 @@
 open Cmdliner
 module Engine = Gpp_engine
 
-let run machine machines_file seed key iterations config_file no_cache cache_dir trace verbose =
+(* -n is checked like the iterations setting, but the break-even
+   verdict prices the program as bundled: the count feeds the advisor's
+   amortization analysis only, so the Parse stage must not rescale
+   Repeat nodes here. *)
+let run scenario key iterations =
   match
-    Cmd_common.scenario ?machine ?machines_file ?seed ?config_file ~no_cache ~cache_dir ~trace
-      ~verbose ()
+    Result.bind scenario (fun c ->
+        Engine.Config.set c ~source:"--iterations" "iterations" iterations)
   with
   | Error e -> Cmd_common.fail e
   | Ok c -> (
-      (* The break-even verdict prices the program as bundled; the -n
-         flag feeds the advisor's amortization analysis only, so the
-         Parse stage must not rescale Repeat nodes here. *)
+      let iterations = Option.get c.Engine.Config.iterations in
       let c = { c with Engine.Config.lint = true; iterations = None } in
       let session = Engine.Pipeline.session_of c in
       match Engine.Pipeline.run ~through:Engine.Stage.Project ~session c ~workload:key with
@@ -27,12 +29,11 @@ let cmd =
   in
   let iterations_arg =
     let doc = "Iteration count for iterative workloads." in
-    Arg.(value & opt int 1 & info [ "iterations"; "n" ] ~doc)
+    Arg.(value & opt string "1" & info [ "iterations"; "n" ] ~doc)
   in
   Cmd.v
     (Cmd.info "advise" ~doc)
     Term.(
-      const run $ Cmd_common.machine_opt_arg $ Cmd_common.machines_file_arg
-      $ Cmd_common.seed_opt_arg $ Cmd_common.workload_arg
-      $ iterations_arg $ Cmd_common.config_file_arg $ Cmd_common.no_cache_arg
-      $ Cmd_common.cache_dir_arg $ Cmd_common.trace_file_arg $ Cmd_common.verbose_arg)
+      const run
+      $ Cmd_common.(scenario [ machine; machines; seed ])
+      $ Cmd_common.workload_arg $ iterations_arg)

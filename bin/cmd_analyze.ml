@@ -1,12 +1,8 @@
 open Cmdliner
 module Engine = Gpp_engine
 
-let run machine machines_file seed key iterations runs transfer_plan config_file no_cache
-    cache_dir trace verbose =
-  match
-    Cmd_common.scenario ?machine ?machines_file ?seed ?runs ?iterations ?transfer_plan
-      ?config_file ~no_cache ~cache_dir ~trace ~verbose ()
-  with
+let run scenario key =
+  match scenario with
   | Error e -> Cmd_common.fail e
   | Ok c -> (
       let c =
@@ -28,8 +24,6 @@ let cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc)
     Term.(
-      const run $ Cmd_common.machine_opt_arg $ Cmd_common.machines_file_arg
-      $ Cmd_common.seed_opt_arg $ Cmd_common.workload_arg
-      $ Cmd_common.iterations_opt_arg $ Cmd_common.runs_opt_arg $ Cmd_common.transfer_plan_arg
-      $ Cmd_common.config_file_arg $ Cmd_common.no_cache_arg $ Cmd_common.cache_dir_arg
-      $ Cmd_common.trace_file_arg $ Cmd_common.verbose_arg)
+      const run
+      $ Cmd_common.(scenario [ machine; machines; seed; iterations; runs; transfer_plan ])
+      $ Cmd_common.workload_arg)

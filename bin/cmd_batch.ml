@@ -7,20 +7,20 @@ module Engine = Gpp_engine
    (the CI batch-matrix leg diffs it against a committed golden file).
    Per-cell failures become rows, not aborts; exit 1 if any cell failed. *)
 
-let run machines machines_file workloads iterations_list out jobs seed predict config_file
-    no_cache cache_dir trace verbose =
-  match
-    Cmd_common.scenario ?machines_file ?seed ?jobs ?predict ?config_file ~no_cache ~cache_dir
-      ~trace ~verbose ()
-  with
+let run scenario machines workloads iterations_list out =
+  match scenario with
   | Error e -> Cmd_common.fail e
   | Ok c -> (
-      (* The machine axis arrives as names and resolves against the
-         scenario's final catalog, so --machines/config-file machines
-         are valid axis values. *)
-      match Cmd_common.resolve_machines c machines with
-      | Error e -> Cmd_common.fail e
-      | Ok resolved ->
+      (* The axes arrive as strings and parse like their settings: machine
+         names resolve against the scenario's final catalog, so
+         --machines/config-file machines are valid axis values, and
+         iteration counts must be positive. *)
+      match
+        ( Cmd_common.resolve_machines c machines,
+          Engine.Config.each c ~source:"--iterations" "iterations" iterations_list )
+      with
+      | Error e, _ | _, Error e -> Cmd_common.fail e
+      | Ok resolved, Ok with_iterations ->
       let workloads =
         match workloads with
         | [] -> List.map Gpp_workloads.Registry.key Gpp_workloads.Registry.paper_instances
@@ -28,7 +28,9 @@ let run machines machines_file workloads iterations_list out jobs seed predict c
       in
       let machines = match resolved with [] -> None | ms -> Some ms in
       let iterations =
-        match iterations_list with [] -> [ None ] | l -> List.map Option.some l
+        match with_iterations with
+        | [] -> [ None ]
+        | cs -> List.map (fun (c : Engine.Config.t) -> c.iterations) cs
       in
       let batch = Engine.Batch.run ?machines ~iterations c ~workloads in
       let tsv = Engine.Batch.to_tsv batch in
@@ -70,7 +72,7 @@ let cmd =
   in
   let iterations_arg =
     Arg.(
-      value & opt_all int []
+      value & opt_all string []
       & info [ "iterations"; "n" ]
           ~doc:
             "Iteration count to include in the matrix (repeatable).  Defaults to each program as \
@@ -82,20 +84,15 @@ let cmd =
       & opt (some string) None
       & info [ "out"; "o" ] ~docv:"FILE" ~doc:"Write the TSV to $(docv) instead of stdout.")
   in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:
-            "Worker domains to shard the matrix across (also $(b,GPP_JOBS); default 1, \
-             sequential).  The TSV is byte-identical at every value: only the deterministic \
-             phases of each cell run in parallel, transfer pricing stays in cell order.")
+  let jobs =
+    Cmd_common.setting_opt "jobs" ~aliases:[ "j" ] ~docv:"N"
+      ~doc:
+        "Worker domains to shard the matrix across (also $(b,GPP_JOBS); default 1, sequential).  \
+         The TSV is byte-identical at every value: only the deterministic phases of each cell \
+         run in parallel, transfer pricing stays in cell order."
   in
   Cmd.v (Cmd.info "batch" ~doc)
     Term.(
-      const run $ machines_arg $ Cmd_common.machines_file_arg $ workloads_arg $ iterations_arg
-      $ out_arg $ jobs_arg $ Cmd_common.seed_opt_arg $ Cmd_common.predict_arg
-      $ Cmd_common.config_file_arg
-      $ Cmd_common.no_cache_arg $ Cmd_common.cache_dir_arg $ Cmd_common.trace_file_arg
-      $ Cmd_common.verbose_arg)
+      const run
+      $ Cmd_common.(scenario [ machines; jobs; seed; predict ])
+      $ machines_arg $ workloads_arg $ iterations_arg $ out_arg)

@@ -28,11 +28,8 @@ let emit_tsv ~out ~count tsv =
       Out_channel.with_open_text path (fun oc -> output_string oc tsv);
       Printf.printf "wrote %d pair(s) to %s\n" count path
 
-let run machines machines_file workloads predicts max_mib out summary seed config_file no_cache
-    cache_dir trace verbose =
-  match
-    Cmd_common.scenario ?machines_file ?seed ?config_file ~no_cache ~cache_dir ~trace ~verbose ()
-  with
+let run scenario machines workloads predicts max_mib out summary =
+  match scenario with
   | Error e -> Cmd_common.fail e
   | Ok c -> (
       match Cmd_common.resolve_machines c machines with
@@ -127,7 +124,6 @@ let cmd =
   in
   Cmd.v (Cmd.info "crossval" ~doc)
     Term.(
-      const run $ machines_arg $ Cmd_common.machines_file_arg $ workloads_arg $ predict_arg
-      $ max_mib_arg $ out_arg $ summary_arg $ Cmd_common.seed_opt_arg $ Cmd_common.config_file_arg
-      $ Cmd_common.no_cache_arg $ Cmd_common.cache_dir_arg $ Cmd_common.trace_file_arg
-      $ Cmd_common.verbose_arg)
+      const run
+      $ Cmd_common.(scenario [ machines; seed ])
+      $ machines_arg $ workloads_arg $ predict_arg $ max_mib_arg $ out_arg $ summary_arg)

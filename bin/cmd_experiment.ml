@@ -1,7 +1,7 @@
 open Cmdliner
 
-let run ids list_only csv_dir config_file no_cache cache_dir trace verbose =
-  match Cmd_common.scenario ?config_file ~no_cache ~cache_dir ~trace ~verbose () with
+let run ids list_only csv_dir scenario =
+  match scenario with
   | Error e -> Cmd_common.fail e
   | Ok c ->
       if list_only then begin
@@ -64,6 +64,4 @@ let cmd =
   Cmd.v
     (Cmd.info "experiment" ~doc)
     Term.(
-      const run $ ids_arg $ list_arg $ csv_arg $ Cmd_common.config_file_arg
-      $ Cmd_common.no_cache_arg $ Cmd_common.cache_dir_arg $ Cmd_common.trace_file_arg
-      $ Cmd_common.verbose_arg)
+      const run $ ids_arg $ list_arg $ csv_arg $ Cmd_common.scenario [])

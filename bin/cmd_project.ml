@@ -1,12 +1,8 @@
 open Cmdliner
 module Engine = Gpp_engine
 
-let run machine machines_file seed key iterations transfer_plan predict config_file no_cache
-    cache_dir trace verbose =
-  match
-    Cmd_common.scenario ?machine ?machines_file ?seed ?iterations ?transfer_plan ?predict
-      ?config_file ~no_cache ~cache_dir ~trace ~verbose ()
-  with
+let run scenario key =
+  match scenario with
   | Error e -> Cmd_common.fail e
   | Ok c -> (
       (* The projection commands have always rescaled Repeat nodes by the
@@ -31,8 +27,6 @@ let cmd =
   Cmd.v
     (Cmd.info "project" ~doc)
     Term.(
-      const run $ Cmd_common.machine_opt_arg $ Cmd_common.machines_file_arg
-      $ Cmd_common.seed_opt_arg $ Cmd_common.workload_arg
-      $ Cmd_common.iterations_opt_arg $ Cmd_common.transfer_plan_arg
-      $ Cmd_common.predict_arg $ Cmd_common.config_file_arg $ Cmd_common.no_cache_arg $ Cmd_common.cache_dir_arg
-      $ Cmd_common.trace_file_arg $ Cmd_common.verbose_arg)
+      const run
+      $ Cmd_common.(scenario [ machine; machines; seed; iterations; transfer_plan; predict ])
+      $ Cmd_common.workload_arg)

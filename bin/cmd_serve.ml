@@ -8,12 +8,8 @@ module Engine = Gpp_engine
    Blocks until SIGINT/SIGTERM, then flushes the cache tier and exits
    0. *)
 
-let run machine seed listen flush_every jobs predict config_file no_cache cache_dir trace
-    verbose =
-  match
-    Cmd_common.scenario ?machine ?seed ?jobs ?predict ?listen ?flush_every ?config_file ~no_cache
-      ~cache_dir ~trace ~verbose ()
-  with
+let run scenario =
+  match scenario with
   | Error e -> Cmd_common.fail e
   | Ok c -> (
       (* Sys.set_signal handlers cannot fire while every thread is
@@ -61,34 +57,22 @@ let cmd =
          so killing the server loses at most that many requests' worth of memoized work.";
     ]
   in
-  let listen_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "listen" ] ~docv:"ADDR"
-          ~doc:
-            "Bind address: $(b,HOST:PORT) (port $(b,0) = pick a free one) or $(b,unix:PATH).  \
-             Also $(b,GPP_LISTEN); default $(b,127.0.0.1:8080).")
+  let listen =
+    Cmd_common.setting_opt "serve.listen" ~docv:"ADDR"
+      ~doc:
+        "Bind address: $(b,HOST:PORT) (port $(b,0) = pick a free one) or $(b,unix:PATH).  Also \
+         $(b,GPP_LISTEN); default $(b,127.0.0.1:8080)."
   in
-  let flush_every_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "flush-every" ] ~docv:"N"
-          ~doc:
-            "Flush the persistent cache tier every $(docv) requests (also \
-             $(b,GPP_FLUSH_EVERY); default 64).")
+  let flush_every =
+    Cmd_common.setting_opt "serve.flush-every" ~docv:"N"
+      ~doc:
+        "Flush the persistent cache tier every $(docv) requests (also $(b,GPP_FLUSH_EVERY); \
+         default 64)."
   in
-  let jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "jobs"; "j" ] ~docv:"N"
-          ~doc:"Worker domains for /batch requests (also $(b,GPP_JOBS); default 1).")
+  let jobs =
+    Cmd_common.setting_opt "jobs" ~aliases:[ "j" ] ~docv:"N"
+      ~doc:"Worker domains for /batch requests (also $(b,GPP_JOBS); default 1)."
   in
   Cmd.v (Cmd.info "serve" ~doc ~man)
     Term.(
-      const run $ Cmd_common.machine_opt_arg $ Cmd_common.seed_opt_arg $ listen_arg
-      $ flush_every_arg $ jobs_arg $ Cmd_common.predict_arg $ Cmd_common.config_file_arg
-      $ Cmd_common.no_cache_arg
-      $ Cmd_common.cache_dir_arg $ Cmd_common.trace_file_arg $ Cmd_common.verbose_arg)
+      const run $ Cmd_common.(scenario [ machine; seed; listen; flush_every; jobs; predict ]))

@@ -23,6 +23,20 @@
 
 open Cmdliner
 
+(* One entry per GPP_* variable of the settings table. *)
+let environment =
+  List.filter_map
+    (fun (s : Gpp_engine.Config.setting) ->
+      Option.map
+        (fun var ->
+          `I
+            ( Printf.sprintf "$(b,%s)" var,
+              Printf.sprintf "Config key $(b,%s)%s%s." s.key
+                (if s.env_negated then ", inverted (a true value sets it to false)" else "")
+                (match s.flag with Some f -> Printf.sprintf "; flag $(b,--%s)" f | None -> "") ))
+        s.env)
+    Gpp_engine.Config.settings
+
 let main_cmd =
   let doc = "GPU performance projection with data transfer modeling (GROPHECY++)" in
   let man =
@@ -34,13 +48,12 @@ let main_cmd =
          threshold, corrupt store files from $(b,cache verify), a failed $(b,batch) cell); \
          $(b,2) on usage errors (unknown workload, experiment, or machine, malformed sizes, \
          flags, or $(b,--config) files).";
-      `S "ENVIRONMENT";
+      `S Manpage.s_environment;
       `P
-        "The pipeline commands also read $(b,GPP_MACHINES), $(b,GPP_MACHINE), $(b,GPP_SEED), $(b,GPP_RUNS), \
-         $(b,GPP_ITERATIONS), $(b,GPP_JOBS), $(b,GPP_OUTLIER_PROBABILITY), $(b,GPP_NO_CACHE), \
-         $(b,GPP_CACHE_DIR), $(b,GPP_TRACE), $(b,GPP_VERBOSE), $(b,GPP_LISTEN), and \
-         $(b,GPP_FLUSH_EVERY), which override $(b,--config) files and are overridden by flags.";
+        "The pipeline commands also read these variables, which override $(b,--config) files \
+         and are overridden by flags:";
     ]
+    @ environment
   in
   let info = Cmd.info "grophecy" ~version:"1.0.0" ~doc ~man in
   Cmd.group info

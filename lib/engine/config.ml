@@ -1,4 +1,11 @@
 module Machine = Gpp_arch.Machine
+module Analytic = Gpp_model.Analytic
+module Timing = Gpp_cpu.Timing
+module Sim = Gpp_gpusim.Gpu_sim
+module Analyzer = Gpp_dataflow.Analyzer
+module Explore = Gpp_transform.Explore
+module Calibrate = Gpp_pcie.Calibrate
+module Predictor = Gpp_predict.Predictor
 
 type t = {
   machine : Machine.t;
@@ -68,17 +75,24 @@ let core_params (t : t) =
     iterations = t.iterations;
   }
 
-let machine_names = List.map (fun (m : Machine.t) -> m.Machine.id) Machine.catalog
-
 (* Builtin-catalog lookup, for callers that resolve a name without a
-   scenario (simple CLI commands, the serve API).  Layered resolution
-   goes through [t.machines] instead, so file-loaded machines are
-   addressable too. *)
+   scenario (the simple CLI commands).  Layered resolution goes through
+   [t.machines] instead, so file-loaded machines are addressable too. *)
 let machine_of_name name = Machines.find Machine.catalog name
 
 let find_machine (t : t) name = Machines.find t.machines name
 
-(* Scalar parsers shared by the file and environment layers. *)
+(* --- value parsers ---------------------------------------------------- *)
+
+let ( let* ) = Result.bind
+
+(* [List.map] with a function that can fail; the first error wins. *)
+let rec map_ok f = function
+  | [] -> Ok []
+  | x :: rest ->
+      let* y = f x in
+      let* ys = map_ok f rest in
+      Ok (y :: ys)
 
 let bool_of_atom s =
   match String.lowercase_ascii s with
@@ -92,10 +106,12 @@ let int_of_atom s =
   | None -> Error (Printf.sprintf "expected an integer, got %S" s)
 
 let pos_int_of_atom s =
-  match int_of_string_opt s with
-  | Some n when n >= 1 -> Ok n
-  | Some n -> Error (Printf.sprintf "expected a positive integer, got %d" n)
-  | None -> Error (Printf.sprintf "expected an integer, got %S" s)
+  let* n = int_of_atom s in
+  if n >= 1 then Ok n else Error (Printf.sprintf "expected a positive integer, got %d" n)
+
+let nonneg_int_of_atom s =
+  let* n = int_of_atom s in
+  if n >= 0 then Ok n else Error (Printf.sprintf "expected a non-negative integer, got %d" n)
 
 let int64_of_atom s =
   match Int64.of_string_opt s with
@@ -107,377 +123,252 @@ let float_of_atom s =
   | Some f -> Ok f
   | None -> Error (Printf.sprintf "expected a number, got %S" s)
 
-(* --- configuration file layer (sexp) ------------------------------- *)
-
-exception Bad of string
-
-let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
-
-let atom key = function
-  | Sexp.Atom a -> a
-  | Sexp.List _ -> bad "%s: expected an atom, got a list" key
-
-let get parse key v =
-  match parse (atom key v) with Ok x -> x | Error m -> bad "%s: %s" key m
-
-let int_list key = function
-  | Sexp.Atom _ -> bad "%s: expected a list of integers" key
-  | Sexp.List items -> List.map (get int_of_atom key) items
-
-(* Key/value pairs: each entry of the top-level list is (key value)
-   where value is an atom or a nested key/value list for the parameter
-   groups. *)
-let pairs_of context = function
-  | Sexp.Atom _ -> bad "%s: expected a list of (key value) pairs" context
-  | Sexp.List items ->
-      List.map
-        (function
-          | Sexp.List [ Sexp.Atom key; value ] -> (key, value)
-          | s -> bad "%s: expected (key value), got %s" context (Sexp.to_string s))
-        items
-
-let fold_group ~context ~seed ~field value =
-  List.fold_left (fun acc (key, v) -> field acc key v) seed (pairs_of context value)
-
-let analytic_group base value =
-  fold_group ~context:"analytic" ~seed:(Option.value base ~default:Gpp_model.Analytic.default_params)
-    ~field:(fun (p : Gpp_model.Analytic.params) key v ->
-      match key with
-      | "achieved-bw-fraction" -> { p with achieved_bw_fraction = get float_of_atom key v }
-      | "sync-cost-cycles" -> { p with sync_cost_cycles = get float_of_atom key v }
-      | _ -> bad "analytic: unknown key %S" key)
-    value
-
-let cpu_group base value =
-  fold_group ~context:"cpu" ~seed:(Option.value base ~default:Gpp_cpu.Timing.default_params)
-    ~field:(fun (p : Gpp_cpu.Timing.params) key v ->
-      match key with
-      | "ilp-efficiency" -> { p with ilp_efficiency = get float_of_atom key v }
-      | "heavy-op-cycles" -> { p with heavy_op_cycles = get float_of_atom key v }
-      | "streaming-bw-fraction" ->
-          { p with streaming_bw_fraction_override = Some (get float_of_atom key v) }
-      | _ -> bad "cpu: unknown key %S" key)
-    value
-
-let sim_group base value =
-  fold_group ~context:"sim" ~seed:(Option.value base ~default:Gpp_gpusim.Gpu_sim.default_config)
-    ~field:(fun (c : Gpp_gpusim.Gpu_sim.config) key v ->
-      match key with
-      | "streaming-efficiency" -> { c with streaming_efficiency = get float_of_atom key v }
-      | "scattered-efficiency" -> { c with scattered_efficiency = get float_of_atom key v }
-      | "latency-jitter" -> { c with latency_jitter = get float_of_atom key v }
-      | "block-dispatch-cycles" -> { c with block_dispatch_cycles = get float_of_atom key v }
-      | "drain-cycles" -> { c with drain_cycles = get float_of_atom key v }
-      | "noise-sigma" -> { c with noise_sigma = get float_of_atom key v }
-      | "max-simulated-blocks" -> { c with max_simulated_blocks = get int_of_atom key v }
-      | _ -> bad "sim: unknown key %S" key)
-    value
-
-let policy_group base value =
-  fold_group ~context:"policy" ~seed:(Option.value base ~default:Gpp_dataflow.Analyzer.default_policy)
-    ~field:(fun (p : Gpp_dataflow.Analyzer.policy) key v ->
-      match key with
-      | "sparse-exact" -> { p with Gpp_dataflow.Analyzer.sparse_exact = get bool_of_atom key v }
-      | "plan" -> { p with Gpp_dataflow.Analyzer.plan = get Gpp_dataflow.Analyzer.plan_policy_of_name key v }
-      | _ -> bad "policy: unknown key %S" key)
-    value
-
-let space_group base value =
-  fold_group ~context:"space" ~seed:(Option.value base ~default:Gpp_transform.Explore.default_space)
-    ~field:(fun (s : Gpp_transform.Explore.space) key v ->
-      match key with
-      | "block-sizes" -> { s with block_sizes = int_list key v }
-      | "unroll-factors" -> { s with unroll_factors = int_list key v }
-      | "vector-widths" -> { s with vector_widths = int_list key v }
-      | "allow-tiling" -> { s with allow_tiling = get bool_of_atom key v }
-      | _ -> bad "space: unknown key %S" key)
-    value
-
-let protocol_group base value =
-  fold_group ~context:"protocol"
-    ~seed:(Option.value base ~default:Gpp_pcie.Calibrate.default_protocol)
-    ~field:(fun (p : Gpp_pcie.Calibrate.protocol) key v ->
-      match key with
-      | "small-bytes" -> { p with small_bytes = get int_of_atom key v }
-      | "large-bytes" -> { p with large_bytes = get int_of_atom key v }
-      | "runs" -> { p with runs = get int_of_atom key v }
-      | _ -> bad "protocol: unknown key %S" key)
-    value
-
-(* Shared by every layer that names a predictor, so the error text (and
-   its Levenshtein suggestion) is identical whether the bad name came
-   from a file, GPP_PREDICT, or --predict. *)
-let predictor_of_atom s =
-  match Gpp_predict.Predictor.of_string s with
-  | Ok p -> Ok p
-  | Error m -> Error m
-
 let nonneg_float_of_atom s =
-  match float_of_string_opt s with
-  | Some f when f >= 0.0 -> Ok f
-  | Some f -> Error (Printf.sprintf "expected a non-negative number, got %g" f)
-  | None -> Error (Printf.sprintf "expected a number, got %S" s)
+  let* f = float_of_atom s in
+  if f >= 0.0 then Ok f else Error (Printf.sprintf "expected a non-negative number, got %g" f)
 
-let predict_group (t : t) value =
-  List.fold_left
-    (fun (t : t) (key, v) ->
-      match key with
-      | "stages" -> { t with predictor = get predictor_of_atom key v }
-      | "lambda" -> { t with predict_lambda = get nonneg_float_of_atom key v }
-      | _ -> bad "predict: unknown key %S" key)
-    t (pairs_of "predict" value)
+let pos_float_of_atom s =
+  let* f = float_of_atom s in
+  if f > 0.0 then Ok f else Error (Printf.sprintf "expected a positive number, got %g" f)
 
-let serve_group (t : t) value =
-  List.fold_left
-    (fun (t : t) (key, v) ->
-      match key with
-      | "listen" -> { t with listen = atom key v }
-      | "flush-every" -> { t with flush_every = get pos_int_of_atom key v }
-      | _ -> bad "serve: unknown key %S" key)
-    t (pairs_of "serve" value)
+let probability_of_atom s =
+  let* f = float_of_atom s in
+  if f >= 0.0 && f <= 1.0 then Ok f
+  else Error (Printf.sprintf "expected a probability in [0, 1], got %g" f)
 
-let cache_group (t : t) value =
-  List.fold_left
-    (fun (t : t) (key, v) ->
-      match key with
-      | "enabled" -> { t with cache_enabled = get bool_of_atom key v }
-      | "dir" -> { t with cache_dir = Some (atom key v) }
-      | _ -> bad "cache: unknown key %S" key)
-    t (pairs_of "cache" value)
+(* --- the settings table ---------------------------------------------- *)
 
-let machines_group (t : t) value =
-  match value with
-  | Sexp.Atom _ -> bad "machines: expected a list of machine descriptors"
-  | Sexp.List descriptors -> (
-      match Machines.extend_result ~base:t.machines descriptors with
-      | Ok machines -> { t with machines }
-      | Error m -> bad "machines: %s" m)
-
-let apply_entry (t : t) key value =
-  match key with
-  | "machine" -> { t with machine = get (find_machine t) key value }
-  | "seed" -> { t with seed = get int64_of_atom key value }
-  | "outlier-probability" -> { t with outlier_probability = get float_of_atom key value }
-  | "runs" -> { t with runs = Some (get int_of_atom key value) }
-  | "iterations" -> { t with iterations = Some (get int_of_atom key value) }
-  | "use-cache" -> { t with use_cache = Some (get bool_of_atom key value) }
-  | "lint" -> { t with lint = get bool_of_atom key value }
-  | "jobs" -> { t with jobs = get pos_int_of_atom key value }
-  | "trace" -> { t with trace = Some (atom key value) }
-  | "verbose" -> { t with verbose = get bool_of_atom key value }
-  | "cache" -> cache_group t value
-  | "serve" -> serve_group t value
-  | "predict" -> predict_group t value
-  | "protocol" -> { t with protocol = Some (protocol_group t.protocol value) }
-  | "analytic" -> { t with analytic = Some (analytic_group t.analytic value) }
-  | "cpu" -> { t with cpu = Some (cpu_group t.cpu value) }
-  | "sim" -> { t with sim = Some (sim_group t.sim value) }
-  | "policy" -> { t with policy = Some (policy_group t.policy value) }
-  | "space" -> { t with space = Some (space_group t.space value) }
-  | "machines" -> machines_group t value
-  | key -> bad "unknown key %S" key
-
-(* [machines] groups apply before everything else, whatever their
-   position in the file, so [(machine my-box)] can name a machine the
-   same file defines. *)
-let apply_sexp (t : t) sexp =
-  let pairs = pairs_of "config" sexp in
-  let is_machines (key, _) = String.equal key "machines" in
-  let t =
-    List.fold_left (fun t (_, value) -> machines_group t value) t (List.filter is_machines pairs)
-  in
-  List.fold_left
-    (fun t (key, value) -> apply_entry t key value)
-    t
-    (List.filter (fun p -> not (is_machines p)) pairs)
-
-let apply_file (t : t) ~path =
-  match Sexp.parse_file path with
-  | Error m -> Error (Error.config ~source:path (Printf.sprintf "%s: %s" path m))
-  | Ok sexp -> (
-      match apply_sexp t sexp with
-      | t -> Ok t
-      | exception Bad m -> Error (Error.config ~source:path (Printf.sprintf "%s: %s" path m)))
-
-(* --- environment layer --------------------------------------------- *)
-
-(* The plan choice rides on the policy layer: keep whatever the lower
-   layers set (sparse-exact etc.), replacing only the plan field. *)
-let set_plan policy plan =
-  { (Option.value policy ~default:Gpp_dataflow.Analyzer.default_policy) with
-    Gpp_dataflow.Analyzer.plan
-  }
-
-let env_vars =
-  [
-    "GPP_MACHINES";
-    "GPP_MACHINE";
-    "GPP_SEED";
-    "GPP_RUNS";
-    "GPP_ITERATIONS";
-    "GPP_JOBS";
-    "GPP_OUTLIER_PROBABILITY";
-    "GPP_NO_CACHE";
-    "GPP_CACHE_DIR";
-    "GPP_TRACE";
-    "GPP_VERBOSE";
-    "GPP_TRANSFER_PLAN";
-    "GPP_PREDICT";
-    "GPP_LISTEN";
-    "GPP_FLUSH_EVERY";
-  ]
-
-let apply_env ?(getenv = Sys.getenv_opt) (t : t) =
-  let ( let* ) = Result.bind in
-  let scalar name parse set t =
-    match getenv name with
-    | None -> Ok t
-    | Some raw -> (
-        match parse raw with
-        | Ok v -> Ok (set t v)
-        | Error m -> Error (Error.config ~source:name (Printf.sprintf "%s: %s" name m)))
-  in
-  (* Catalog file first: GPP_MACHINE may name a machine it defines. *)
-  let* t =
-    match getenv "GPP_MACHINES" with
-    | None -> Ok t
-    | Some path -> (
-        match Machines.load_file ~base:t.machines path with
-        | Ok machines -> Ok { t with machines }
-        | Error e -> Error e)
-  in
-  let* t = scalar "GPP_MACHINE" (find_machine t) (fun t machine -> { t with machine }) t in
-  let* t = scalar "GPP_SEED" int64_of_atom (fun t seed -> { t with seed }) t in
-  let* t = scalar "GPP_RUNS" int_of_atom (fun t runs -> { t with runs = Some runs }) t in
-  let* t =
-    scalar "GPP_ITERATIONS" int_of_atom (fun t n -> { t with iterations = Some n }) t
-  in
-  let* t = scalar "GPP_JOBS" pos_int_of_atom (fun t jobs -> { t with jobs }) t in
-  let* t =
-    scalar "GPP_OUTLIER_PROBABILITY" float_of_atom
-      (fun t outlier_probability -> { t with outlier_probability })
-      t
-  in
-  let* t =
-    scalar "GPP_NO_CACHE" bool_of_atom (fun t no -> { t with cache_enabled = not no }) t
-  in
-  let* t = scalar "GPP_CACHE_DIR" (fun s -> Ok s) (fun t d -> { t with cache_dir = Some d }) t in
-  let* t = scalar "GPP_TRACE" (fun s -> Ok s) (fun t f -> { t with trace = Some f }) t in
-  let* t = scalar "GPP_VERBOSE" bool_of_atom (fun t verbose -> { t with verbose }) t in
-  let* t =
-    scalar "GPP_TRANSFER_PLAN" Gpp_dataflow.Analyzer.plan_policy_of_name
-      (fun t plan -> { t with policy = Some (set_plan t.policy plan) })
-      t
-  in
-  let* t =
-    scalar "GPP_PREDICT" predictor_of_atom (fun t predictor -> { t with predictor }) t
-  in
-  let* t = scalar "GPP_LISTEN" (fun s -> Ok s) (fun t listen -> { t with listen }) t in
-  let* t =
-    scalar "GPP_FLUSH_EVERY" pos_int_of_atom (fun t flush_every -> { t with flush_every }) t
-  in
-  Ok t
-
-(* --- flag layer ----------------------------------------------------- *)
-
-type overrides = {
-  o_machines_file : string option;
-  o_machine : string option;
-  o_seed : int64 option;
-  o_runs : int option;
-  o_iterations : int option;
-  o_jobs : int option;
-  o_no_cache : bool;
-  o_cache_dir : string option;
-  o_trace : string option;
-  o_verbose : bool;
-  o_transfer_plan : Gpp_dataflow.Analyzer.plan_policy option;
-  o_predict : string option;
-  o_listen : string option;
-  o_flush_every : int option;
+type setting = {
+  key : string;
+  env : string option;
+  env_negated : bool;
+  flag : string option;
+  set : t -> Sexp.t -> (t, string) result;
 }
 
-let no_overrides =
-  {
-    o_machines_file = None;
-    o_machine = None;
-    o_seed = None;
-    o_runs = None;
-    o_iterations = None;
-    o_jobs = None;
-    o_no_cache = false;
-    o_cache_dir = None;
-    o_trace = None;
-    o_verbose = false;
-    o_transfer_plan = None;
-    o_predict = None;
-    o_listen = None;
-    o_flush_every = None;
-  }
+let setting ?env ?(env_negated = false) ?flag key set = { key; env; env_negated; flag; set }
 
-(* The machine flags can fail (unreadable catalog file, unknown name),
-   so the flag layer resolves to a result; both failures are config
-   errors (exit 2) like their file/env counterparts. *)
-let apply_overrides (t : t) (o : overrides) =
-  let ( let* ) = Result.bind in
-  let* t =
-    match o.o_machines_file with
-    | None -> Ok t
-    | Some path -> (
-        match Machines.load_file ~base:t.machines path with
-        | Ok machines -> Ok { t with machines }
-        | Error e -> Error e)
-  in
-  let* t =
-    match o.o_machine with
-    | None -> Ok t
-    | Some name -> (
-        match find_machine t name with
-        | Ok machine -> Ok { t with machine }
-        | Error m -> Error (Error.config m))
-  in
-  let t = match o.o_seed with Some seed -> { t with seed } | None -> t in
-  let t = match o.o_runs with Some runs -> { t with runs = Some runs } | None -> t in
-  let t = match o.o_iterations with Some n -> { t with iterations = Some n } | None -> t in
-  let t = match o.o_jobs with Some jobs -> { t with jobs } | None -> t in
-  let t = if o.o_no_cache then { t with cache_enabled = false } else t in
-  let t = match o.o_cache_dir with Some d -> { t with cache_dir = Some d } | None -> t in
-  let t = match o.o_trace with Some f -> { t with trace = Some f } | None -> t in
-  let t =
-    match o.o_transfer_plan with
-    | Some plan -> { t with policy = Some (set_plan t.policy plan) }
-    | None -> t
-  in
-  let* t =
-    match o.o_predict with
-    | None -> Ok t
-    | Some s -> (
-        match predictor_of_atom s with
-        | Ok predictor -> Ok { t with predictor }
-        | Error m -> Error (Error.config ~source:"--predict" m))
-  in
-  let t = match o.o_listen with Some listen -> { t with listen } | None -> t in
-  let t = match o.o_flush_every with Some n -> { t with flush_every = n } | None -> t in
-  Ok (if o.o_verbose then { t with verbose = true } else t)
+let atom_value parse = function
+  | Sexp.Atom a -> parse a
+  | Sexp.List _ -> Error "expected an atom, got a list"
 
-(* Cross-layer validation, applied to the fully resolved value so a bad
-   setting is rejected no matter which layer (file, env, flag) supplied
-   it.  Pool.run would raise Invalid_argument on the same range; user
-   input must surface as a structured config error (exit 2) instead. *)
+(* A one-atom value: [parse] it, then [put] it into the record. *)
+let atom parse put r v = Result.map (put r) (atom_value parse v)
+
+let int_list put r = function
+  | Sexp.Atom _ -> Error "expected a list of positive integers"
+  | Sexp.List items -> Result.map (put r) (map_ok (atom_value pos_int_of_atom) items)
+
+(* A field of an optional parameter group.  An unset group starts from
+   the library defaults, so a partial group overrides only what it
+   names. *)
+let group get put default set t v =
+  let* g = set (Option.value (get t) ~default) v in
+  Ok (put t (Some g))
+
+let analytic = group (fun t -> t.analytic) (fun t analytic -> { t with analytic }) Analytic.default_params
+let cpu = group (fun t -> t.cpu) (fun t cpu -> { t with cpu }) Timing.default_params
+let sim = group (fun t -> t.sim) (fun t sim -> { t with sim }) Sim.default_config
+let policy = group (fun t -> t.policy) (fun t policy -> { t with policy }) Analyzer.default_policy
+let space = group (fun t -> t.space) (fun t space -> { t with space }) Explore.default_space
+
+let protocol =
+  group (fun t -> t.protocol) (fun t protocol -> { t with protocol }) Calibrate.default_protocol
+
+(* A catalog arrives inline, as a file's [(machines (<descriptor> ...))]
+   group, or as the path of a catalog file. *)
+let set_machines t = function
+  | Sexp.Atom path -> (
+      match Machines.load_file ~base:t.machines path with
+      | Ok machines -> Ok { t with machines }
+      | Error e -> Error (Error.message e))
+  | Sexp.List descriptors ->
+      Result.map
+        (fun machines -> { t with machines })
+        (Machines.extend_result ~base:t.machines descriptors)
+
+(* Table order is application order within a layer: [machines] comes
+   first, so a layer's catalog merges before its [machine] resolves. *)
+let settings =
+  [
+    setting "machines" ~env:"GPP_MACHINES" ~flag:"machines" set_machines;
+    setting "machine" ~env:"GPP_MACHINE" ~flag:"machine" (fun t ->
+        atom (find_machine t) (fun t machine -> { t with machine }) t);
+    setting "seed" ~env:"GPP_SEED" ~flag:"seed" (atom int64_of_atom (fun t seed -> { t with seed }));
+    setting "outlier-probability" ~env:"GPP_OUTLIER_PROBABILITY"
+      (atom probability_of_atom (fun t outlier_probability -> { t with outlier_probability }));
+    setting "runs" ~env:"GPP_RUNS" ~flag:"runs"
+      (atom pos_int_of_atom (fun t n -> { t with runs = Some n }));
+    setting "iterations" ~env:"GPP_ITERATIONS" ~flag:"iterations"
+      (atom pos_int_of_atom (fun t n -> { t with iterations = Some n }));
+    setting "jobs" ~env:"GPP_JOBS" ~flag:"jobs" (atom pos_int_of_atom (fun t jobs -> { t with jobs }));
+    setting "use-cache" (atom bool_of_atom (fun t b -> { t with use_cache = Some b }));
+    setting "lint" (atom bool_of_atom (fun t lint -> { t with lint }));
+    setting "trace" ~env:"GPP_TRACE" ~flag:"trace" (atom Result.ok (fun t f -> { t with trace = Some f }));
+    setting "verbose" ~env:"GPP_VERBOSE" ~flag:"verbose"
+      (atom bool_of_atom (fun t verbose -> { t with verbose }));
+    setting "cache.enabled" ~env:"GPP_NO_CACHE" ~env_negated:true ~flag:"no-cache"
+      (atom bool_of_atom (fun t cache_enabled -> { t with cache_enabled }));
+    setting "cache.dir" ~env:"GPP_CACHE_DIR" ~flag:"cache-dir"
+      (atom Result.ok (fun t d -> { t with cache_dir = Some d }));
+    setting "serve.listen" ~env:"GPP_LISTEN" ~flag:"listen"
+      (atom Result.ok (fun t listen -> { t with listen }));
+    setting "serve.flush-every" ~env:"GPP_FLUSH_EVERY" ~flag:"flush-every"
+      (atom pos_int_of_atom (fun t flush_every -> { t with flush_every }));
+    setting "predict.stages" ~env:"GPP_PREDICT" ~flag:"predict"
+      (atom Predictor.of_string (fun t predictor -> { t with predictor }));
+    setting "predict.lambda"
+      (atom nonneg_float_of_atom (fun t predict_lambda -> { t with predict_lambda }));
+    setting "policy.plan" ~env:"GPP_TRANSFER_PLAN" ~flag:"transfer-plan"
+      (policy (atom Analyzer.plan_policy_of_name (fun p plan -> { p with Analyzer.plan })));
+    setting "policy.sparse-exact"
+      (policy (atom bool_of_atom (fun p sparse_exact -> { p with Analyzer.sparse_exact })));
+    setting "protocol.small-bytes"
+      (protocol (atom nonneg_int_of_atom (fun p small_bytes -> { p with Calibrate.small_bytes })));
+    setting "protocol.large-bytes"
+      (protocol (atom nonneg_int_of_atom (fun p large_bytes -> { p with Calibrate.large_bytes })));
+    setting "protocol.runs"
+      (protocol (atom pos_int_of_atom (fun p runs -> { p with Calibrate.runs })));
+    setting "analytic.achieved-bw-fraction"
+      (analytic
+         (atom pos_float_of_atom (fun p achieved_bw_fraction ->
+              { p with Analytic.achieved_bw_fraction })));
+    setting "analytic.sync-cost-cycles"
+      (analytic
+         (atom nonneg_float_of_atom (fun p sync_cost_cycles -> { p with Analytic.sync_cost_cycles })));
+    setting "cpu.ilp-efficiency"
+      (cpu (atom pos_float_of_atom (fun p ilp_efficiency -> { p with Timing.ilp_efficiency })));
+    setting "cpu.heavy-op-cycles"
+      (cpu (atom nonneg_float_of_atom (fun p heavy_op_cycles -> { p with Timing.heavy_op_cycles })));
+    setting "cpu.streaming-bw-fraction"
+      (cpu
+         (atom pos_float_of_atom (fun p f ->
+              { p with Timing.streaming_bw_fraction_override = Some f })));
+    setting "sim.streaming-efficiency"
+      (sim
+         (atom pos_float_of_atom (fun c streaming_efficiency -> { c with Sim.streaming_efficiency })));
+    setting "sim.scattered-efficiency"
+      (sim
+         (atom pos_float_of_atom (fun c scattered_efficiency -> { c with Sim.scattered_efficiency })));
+    setting "sim.latency-jitter"
+      (sim (atom nonneg_float_of_atom (fun c latency_jitter -> { c with Sim.latency_jitter })));
+    setting "sim.block-dispatch-cycles"
+      (sim
+         (atom nonneg_float_of_atom (fun c block_dispatch_cycles ->
+              { c with Sim.block_dispatch_cycles })));
+    setting "sim.drain-cycles"
+      (sim (atom nonneg_float_of_atom (fun c drain_cycles -> { c with Sim.drain_cycles })));
+    setting "sim.noise-sigma"
+      (sim (atom nonneg_float_of_atom (fun c noise_sigma -> { c with Sim.noise_sigma })));
+    setting "sim.max-simulated-blocks"
+      (sim (atom int_of_atom (fun c max_simulated_blocks -> { c with Sim.max_simulated_blocks })));
+    setting "space.block-sizes" (space (int_list (fun s block_sizes -> { s with Explore.block_sizes })));
+    setting "space.unroll-factors"
+      (space (int_list (fun s unroll_factors -> { s with Explore.unroll_factors })));
+    setting "space.vector-widths"
+      (space (int_list (fun s vector_widths -> { s with Explore.vector_widths })));
+    setting "space.allow-tiling"
+      (space (atom bool_of_atom (fun s allow_tiling -> { s with Explore.allow_tiling })));
+  ]
+
+let find_setting key = List.find_opt (fun s -> String.equal s.key key) settings
+
+(* --- the layers -------------------------------------------------------- *)
+
+(* Apply one layer's [(key, value)] entries in table order.  A failing
+   value is a config error whose [source] and message prefix [label]
+   name where it came from. *)
+let apply_layer ~source ?(label = source) t entries =
+  match List.find_opt (fun (key, _) -> find_setting key = None) entries with
+  | Some (key, _) -> Error (Error.config (Printf.sprintf "unknown setting %S" key))
+  | None ->
+      let in_table_order =
+        List.concat_map
+          (fun s -> List.filter_map (fun (key, v) -> if key = s.key then Some (s, v) else None) entries)
+          settings
+      in
+      List.fold_left
+        (fun acc (s, v) ->
+          let* t = acc in
+          Result.map_error
+            (fun m -> Error.config ~source:(source s) (Printf.sprintf "%s: %s" (label s) m))
+            (s.set t v))
+        (Ok t) in_table_order
+
+let set t ~source key raw = apply_layer ~source:(fun _ -> source) t [ (key, Sexp.Atom raw) ]
+
+let each t ~source key raws = map_ok (set t ~source key) raws
+
+(* The file is one list of (key value) pairs; a group key nests another
+   pair list whose keys become [group.key]. *)
+let file_entries sexp =
+  let pairs context = function
+    | Sexp.Atom _ -> Error (Printf.sprintf "%s: expected a list of (key value) pairs" context)
+    | Sexp.List items ->
+        map_ok
+          (function
+            | Sexp.List [ Sexp.Atom key; v ] -> Ok (key, v)
+            | s -> Error (Printf.sprintf "%s: expected (key value), got %s" context (Sexp.to_string s)))
+          items
+  in
+  let known ~unknown (key, v) = if find_setting key = None then Error unknown else Ok (key, v) in
+  let is_group key = List.exists (fun s -> String.starts_with ~prefix:(key ^ ".") s.key) settings in
+  let* top = pairs "config" sexp in
+  let* entries =
+    map_ok
+      (fun (key, v) ->
+        if is_group key then
+          let* inner = pairs key v in
+          map_ok
+            (fun (k, v) -> known ~unknown:(Printf.sprintf "%s: unknown key %S" key k) (key ^ "." ^ k, v))
+            inner
+        else Result.map (fun e -> [ e ]) (known ~unknown:(Printf.sprintf "unknown key %S" key) (key, v)))
+      top
+  in
+  Ok (List.concat entries)
+
+let apply_file (t : t) ~path =
+  match Result.bind (Sexp.parse_file path) file_entries with
+  | Error m -> Error (Error.config ~source:path (Printf.sprintf "%s: %s" path m))
+  | Ok entries ->
+      apply_layer ~source:(fun _ -> path) ~label:(fun s -> path ^ ": " ^ s.key) t entries
+
+(* GPP_NO_CACHE reads the other way round from cache.enabled; a value
+   that is no boolean passes through for the setting to reject. *)
+let negate raw = match bool_of_atom raw with Ok b -> string_of_bool (not b) | Error _ -> raw
+
+let apply_env ?(getenv = Sys.getenv_opt) (t : t) =
+  let entries =
+    List.filter_map
+      (fun s ->
+        Option.bind s.env getenv
+        |> Option.map (fun raw ->
+               (s.key, Sexp.Atom (if s.env_negated then negate raw else raw))))
+      settings
+  in
+  apply_layer ~source:(fun s -> Option.value s.env ~default:s.key) t entries
+
+let apply_flags (t : t) flags =
+  apply_layer
+    ~source:(fun s -> match s.flag with Some f -> "--" ^ f | None -> s.key)
+    t
+    (List.map (fun (key, raw) -> (key, Sexp.Atom raw)) flags)
+
+(* Cross-field checks on the fully resolved value, so a bad combination
+   is rejected whichever layers supplied its parts.  Pool.run and
+   Calibrate.calibrate would raise Invalid_argument on the same values;
+   user input must surface as a structured config error (exit 2). *)
 let validate (t : t) =
-  if t.jobs < 1 || t.jobs > Pool.max_jobs then
-    Error
-      (Error.config
-         (Printf.sprintf "jobs = %d out of range (expected 1 .. %d)" t.jobs Pool.max_jobs))
-  else if t.flush_every < 1 then
-    Error
-      (Error.config
-         (Printf.sprintf "flush-every = %d out of range (expected >= 1)" t.flush_every))
-  else Ok t
+  let bad fmt = Printf.ksprintf (fun m -> Error (Error.config m)) fmt in
+  if t.jobs > Pool.max_jobs then bad "jobs = %d out of range (expected 1 .. %d)" t.jobs Pool.max_jobs
+  else
+    match t.protocol with
+    | Some p when p.small_bytes >= p.large_bytes ->
+        bad "protocol: small-bytes = %d must be below large-bytes = %d" p.small_bytes p.large_bytes
+    | _ -> Ok t
 
-let resolve ?getenv ?file ?(overrides = no_overrides) () =
-  let ( let* ) = Result.bind in
+let resolve ?getenv ?file ?(flags = []) () =
   let* t = match file with None -> Ok default | Some path -> apply_file default ~path in
   let* t = apply_env ?getenv t in
-  let* t = apply_overrides t overrides in
+  let* t = apply_flags t flags in
   validate t

@@ -9,6 +9,11 @@
     {v library defaults < sexp config file (--config FILE)
        < GPP_* environment variables < command-line flags v}
 
+    Every setting is declared once, in {!settings}: its key, its
+    [GPP_*] variable and flag if it has them, and one function that
+    parses a value and sets it.  Each layer is a fold over that table,
+    and [grophecy serve] applies request parameters through it too.
+
     The defaults reproduce the historical
     [Grophecy.init machine] behaviour bit-for-bit, so a default-resolved
     config is byte-identical to every pre-engine run. *)
@@ -74,76 +79,74 @@ val core_params : t -> Gpp_core.Grophecy.params
 
 val machine_of_name : string -> (Gpp_arch.Machine.t, string) result
 (** Builtin-catalog lookup by id, for callers without a resolved
-    scenario (simple CLI commands, the serve API).  Scenario layers use
+    scenario (the simple CLI commands).  Scenario layers use
     {!find_machine} so file-loaded machines resolve too. *)
 
 val find_machine : t -> string -> (Gpp_arch.Machine.t, string) result
 (** Lookup in the scenario's resolved [machines] catalog. *)
 
-val machine_names : string list
-(** Ids of the builtin catalog. *)
+(** {1 The settings table} *)
+
+type setting = {
+  key : string;
+      (** The config-file key, dotted for a group field: [seed],
+          [sim.noise-sigma], [policy.plan], [serve.flush-every]. *)
+  env : string option;  (** Its [GPP_*] variable, if any. *)
+  env_negated : bool;
+      (** The variable reads the other way round from the key: a true
+          [GPP_NO_CACHE] sets [cache.enabled] to false. *)
+  flag : string option;
+      (** Its command-line flag without the dashes, if any; errors from
+          the flag layer name it. *)
+  set : t -> Sexp.t -> (t, string) result;
+      (** Parse a value and set it.  Environment, flag and HTTP strings
+          arrive as atoms; only [machines] (inline descriptors) and the
+          [space] integer lists take a list. *)
+}
+
+val settings : setting list
+(** Every setting, in the order a layer applies them: [machines] first,
+    so a layer's catalog merges before its [machine] name resolves. *)
+
+(** {1 Layers} *)
 
 val apply_file : t -> path:string -> (t, Error.t) result
 (** Layer a sexp scenario file onto [t].  The file is one list of
-    [(key value)] pairs; parameter groups ([analytic], [cpu], [sim],
-    [policy], [space], [protocol], [cache]) nest another pair list and
-    start from the library defaults, so partial groups override only the
-    named fields.  A [(machines <descriptor> ...)] group (see
-    {!Machines}) merges into the catalog first, whatever its position,
-    so [(machine NAME)] can name a machine the same file defines.
-    Unknown keys, malformed sexps, and unreadable files are
-    {!Error.Config} naming the file. *)
+    [(key value)] pairs; a group ([analytic], [cache], [cpu], [policy],
+    [predict], [protocol], [serve], [sim], [space]) nests another pair
+    list and starts from the library defaults, so a partial group
+    overrides only the named fields.  [(machines (<descriptor> ...))]
+    (see {!Machines}) merges into the catalog; [(machines FILE)] loads a
+    catalog file, as [GPP_MACHINES] does.  Unknown keys, malformed
+    values and sexps, and unreadable files are {!Error.Config} naming
+    the file. *)
 
 val apply_env : ?getenv:(string -> string option) -> t -> (t, Error.t) result
 (** Layer the [GPP_*] environment variables onto [t].  [getenv] is
     injectable for tests.  Malformed values are {!Error.Config} naming
     the variable. *)
 
-val env_vars : string list
-(** The variables {!apply_env} consults. *)
+val apply_flags : t -> (string * string) list -> (t, Error.t) result
+(** The flag layer: the [(key, raw value)] pair of each flag given.
+    Malformed values are {!Error.Config} naming the flag. *)
 
-type overrides = {
-  o_machines_file : string option;
-      (** [--machines FILE]: merge a machine-descriptor catalog over the
-          lower layers' catalog before any name resolves. *)
-  o_machine : string option;
-      (** [-m NAME]: resolved against the final catalog, so it can name
-          a machine that [--machines] (or any lower layer) defined. *)
-  o_seed : int64 option;
-  o_runs : int option;
-  o_iterations : int option;
-  o_jobs : int option;
-  o_no_cache : bool;
-  o_cache_dir : string option;
-  o_trace : string option;
-  o_verbose : bool;
-  o_transfer_plan : Gpp_dataflow.Analyzer.plan_policy option;
-      (** [--transfer-plan]: overrides the [plan] field of the policy
-          layer (config file [policy (plan ...)], environment
-          [GPP_TRANSFER_PLAN]). *)
-  o_predict : string option;
-      (** [--predict NAME[,NAME...]]: the predictor stack, parsed with
-          {!Gpp_predict.Predictor.of_string}.  Unknown stage names are
-          {!Error.Config} (exit 2) with a nearest-name suggestion. *)
-  o_listen : string option;  (** [--listen] for [grophecy serve]. *)
-  o_flush_every : int option;  (** [--flush-every] for [grophecy serve]. *)
-}
-(** The command-line flag layer: [None]/[false] means "flag not given,
-    keep the lower layers' value". *)
+val set : t -> source:string -> string -> string -> (t, Error.t) result
+(** [set t ~source key raw] applies one setting from its string form,
+    as the flag layer does; errors name [source].  For values outside
+    the layers, such as [serve]'s request parameters. *)
 
-val no_overrides : overrides
-
-val apply_overrides : t -> overrides -> (t, Error.t) result
-(** Layer the flag overrides onto [t].  Loading [o_machines_file] and
-    resolving [o_machine] can fail; both are {!Error.Config} (exit 2). *)
+val each : t -> source:string -> string -> string list -> (t list, Error.t) result
+(** [t] with setting [key] set to each value in turn: a matrix axis
+    (machines, iteration counts) parsed and checked like any layer. *)
 
 val resolve :
   ?getenv:(string -> string option) ->
   ?file:string ->
-  ?overrides:overrides ->
+  ?flags:(string * string) list ->
   unit ->
   (t, Error.t) result
 (** Full layered resolution: defaults, then [file], then environment,
-    then [overrides], then cross-layer validation ([jobs] within
-    {!Pool.max_jobs}, [flush_every >= 1]) — an out-of-range value is an
-    {!Error.Config} (exit 2) whichever layer supplied it. *)
+    then [flags], then the cross-field checks ([jobs] within
+    {!Pool.max_jobs}, protocol [small-bytes] below [large-bytes]).  A
+    malformed or out-of-range value is an {!Error.Config} (exit 2)
+    whichever layer supplied it. *)

@@ -154,19 +154,20 @@ let split_csv v =
 
 (* GET|POST /batch — the `grophecy batch` TSV for the requested matrix
    (defaults match the CLI: every Table I instance on the scenario's
-   machine). *)
+   machine).  The axes parse through the scenario's settings, so
+   machine names resolve against its catalog and iteration counts are
+   checked like any other layer's. *)
 let run_batch (c : Config.t) (r : Http.request) =
+  let axis param key =
+    Option.map
+      (fun v ->
+        match Config.each c ~source:param key (split_csv v) with
+        | Ok cs -> cs
+        | Error e -> fail e)
+      (Http.query_param r param)
+  in
   let machines =
-    match Http.query_param r "machines" with
-    | None -> None
-    | Some v ->
-        Some
-          (List.map
-             (fun name ->
-               match Config.machine_of_name name with
-               | Ok m -> m
-               | Error msg -> fail (Error.config msg))
-             (split_csv v))
+    Option.map (List.map (fun (c : Config.t) -> c.machine)) (axis "machines" "machine")
   in
   let workloads =
     match Http.query_param r "workloads" with
@@ -174,99 +175,61 @@ let run_batch (c : Config.t) (r : Http.request) =
     | Some v -> split_csv v
   in
   let iterations =
-    match Http.query_param r "iterations" with
+    match axis "iterations" "iterations" with
     | None -> [ None ]
-    | Some v ->
-        List.map
-          (fun s ->
-            match int_of_string_opt s with
-            | Some n -> Some n
-            | None -> fail_usage (Printf.sprintf "iterations: %S is not an integer" s))
-          (split_csv v)
+    | Some cs -> List.map (fun (c : Config.t) -> c.iterations) cs
   in
   let batch = Gpp_engine.Batch.run ?machines ~iterations c ~workloads in
   (200, text_ct, Gpp_engine.Batch.to_tsv batch)
 
-(* /project parameters come from the query string and, for POST, a JSON
-   object body; body fields win.  Malformed JSON or fields of the wrong
-   shape are a structured 400, never a dead server. *)
-type project_params = {
-  workload : string option;
-  machine : Gpp_arch.Machine.t option;
-  seed : int64 option;
-  iterations : int option;
-}
+(* /project parameters, as (name, raw value) pairs: the query string's,
+   then, for POST, a JSON object body's, so body fields win.  Malformed
+   JSON or fields of the wrong shape are a structured 400, never a dead
+   server. *)
+let project_fields = [ "workload"; "machine"; "seed"; "iterations" ]
 
-let project_params_of_request (r : Http.request) =
-  let machine_of name =
-    match Config.machine_of_name name with Ok m -> m | Error msg -> fail (Error.config msg)
-  in
-  let of_query =
-    {
-      workload = Http.query_param r "workload";
-      machine = Option.map machine_of (Http.query_param r "machine");
-      seed =
-        Option.map
-          (fun s ->
-            match Int64.of_string_opt s with
-            | Some n -> n
-            | None -> fail_usage (Printf.sprintf "seed: %S is not an integer" s))
-          (Http.query_param r "seed");
-      iterations =
-        Option.map
-          (fun s ->
-            match int_of_string_opt s with
-            | Some n -> n
-            | None -> fail_usage (Printf.sprintf "iterations: %S is not an integer" s))
-          (Http.query_param r "iterations");
-    }
+let project_params (r : Http.request) =
+  let query =
+    List.filter_map (fun k -> Option.map (fun v -> (k, v)) (Http.query_param r k)) project_fields
   in
   let body = String.trim r.body in
-  if body = "" then of_query
+  if body = "" then query
   else
     match Validate.parse body with
     | Error msg -> fail_usage (Printf.sprintf "malformed JSON body: %s" msg)
     | Ok (Validate.Obj fields) ->
-        List.fold_left
-          (fun acc (k, v) ->
-            match (k, (v : Validate.json)) with
-            | "workload", Str s -> { acc with workload = Some s }
-            | "machine", Str s -> { acc with machine = Some (machine_of s) }
-            | "seed", Num f when Float.is_integer f -> { acc with seed = Some (Int64.of_float f) }
-            | "seed", Str s -> (
-                match Int64.of_string_opt s with
-                | Some n -> { acc with seed = Some n }
-                | None -> fail_usage (Printf.sprintf "seed: %S is not an integer" s))
-            | "iterations", Num f when Float.is_integer f ->
-                { acc with iterations = Some (int_of_float f) }
-            | _ ->
-                fail_usage
-                  (Printf.sprintf
-                     "unknown or ill-typed field %S (expected workload, machine, seed, \
-                      iterations)"
-                     k))
-          of_query fields
+        query
+        @ List.map
+            (fun (k, v) ->
+              match (k, (v : Validate.json)) with
+              | _, Str s when List.mem k project_fields -> (k, s)
+              | ("machine" | "seed" | "iterations"), Num f when Float.is_integer f ->
+                  (k, Printf.sprintf "%.0f" f)
+              | _ ->
+                  fail_usage
+                    (Printf.sprintf
+                       "unknown or ill-typed field %S (expected workload, machine, seed, \
+                        iterations)"
+                       k))
+            fields
     | Ok _ -> fail_usage "JSON body must be an object"
 
 (* GET|POST /project — the `grophecy project` stdout: projection report
    then transfer plan, rendered by the same printers on formatters with
    the CLI's default geometry. *)
 let run_project (c : Config.t) (r : Http.request) =
-  let p = project_params_of_request r in
+  let params = project_params r in
+  let workload, settings = List.partition (fun (k, _) -> k = "workload") params in
   let workload =
-    match p.workload with
-    | Some w -> w
-    | None -> fail_usage "project: missing workload (query param or JSON field)"
+    match List.rev workload with
+    | (_, w) :: _ -> w
+    | [] -> fail_usage "project: missing workload (query param or JSON field)"
   in
   let c =
-    {
-      c with
-      Config.lint = true;
-      machine = Option.value p.machine ~default:c.machine;
-      seed = Option.value p.seed ~default:c.seed;
-      iterations =
-        (match p.iterations with Some n -> Some n | None -> Some (Option.value c.iterations ~default:1));
-    }
+    List.fold_left
+      (fun c (key, raw) -> match Config.set c ~source:key key raw with Ok c -> c | Error e -> fail e)
+      { c with Config.lint = true; iterations = Some (Option.value c.iterations ~default:1) }
+      settings
   in
   let session = Gpp_engine.Pipeline.session_of c in
   match Gpp_engine.Pipeline.run ~through:Gpp_engine.Stage.Project ~session c ~workload with

@@ -19,6 +19,12 @@
       body [{"workload": K, "machine": M, "seed": N, "iterations": N}] —
       the [grophecy project] report.
 
+    Machine names, seeds and iteration counts are applied to the
+    server's scenario through {!Gpp_engine.Config.set}, so they parse
+    and are checked like every other layer's values, and machine names
+    resolve against the scenario's catalog (including [--machines] and
+    config-file machines).
+
     Responses to the expensive endpoints are memoized in a persistent
     table ([serve.responses]) keyed by the same structural fingerprints
     the engine's memo tables use (request shape + the scenario fields

@@ -155,12 +155,15 @@ let test_config_env_layer () =
   Helpers.check_contains "names the variable" ~needle:"GPP_SEED" msg
 
 let test_config_precedence () =
-  (* defaults < file < env < flags, per field. *)
+  (* defaults < file < env < flags, with several fields from several
+     layers at once: each keeps the value of the highest layer that
+     names it. *)
   let path = write_temp ~suffix:".sexp" "((machine gt200) (seed 1) (runs 2))" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let getenv = getenv_of [ ("GPP_SEED", "22"); ("GPP_ITERATIONS", "4") ] in
-  let overrides = { Config.no_overrides with Config.o_seed = Some 333L } in
-  let c = Helpers.check_core "resolve" (Config.resolve ~getenv ~file:path ~overrides ()) in
+  let c =
+    Helpers.check_core "resolve" (Config.resolve ~getenv ~file:path ~flags:[ ("seed", "333") ] ())
+  in
   (* file beats defaults where neither env nor flags speak *)
   Alcotest.(check bool) "machine from file" true (c.Config.machine == Gpp_arch.Machine.gt200_node);
   Alcotest.(check (option int)) "runs from file" (Some 2) c.Config.runs;
@@ -194,16 +197,172 @@ let test_config_transfer_plan_layers () =
   let from_file = Helpers.check_core "apply_file" (Config.apply_file Config.default ~path) in
   Alcotest.(check bool) "file sets minimal" true (plan_of from_file = Analyzer.Minimal);
   (* The --transfer-plan flag beats the env. *)
-  let overrides =
-    { Config.no_overrides with Config.o_transfer_plan = Some Analyzer.Conservative }
-  in
   let resolved =
     Helpers.check_core "resolve"
       (Config.resolve
          ~getenv:(getenv_of [ ("GPP_TRANSFER_PLAN", "minimal") ])
-         ~overrides ())
+         ~flags:[ ("policy.plan", "conservative") ]
+         ())
   in
   Alcotest.(check bool) "flag beats env" true (plan_of resolved = Analyzer.Conservative)
+
+(* Three catalog files that each define machine [lab] differently, so
+   each layer's catalog replaces the one below it. *)
+let catalog_files () =
+  List.map
+    (fun base ->
+      write_temp ~suffix:".sexp" (Printf.sprintf "(machines ((id lab) (base %s)))" base))
+    [ "kepler"; "volta-nvlink"; "hopper" ]
+
+(* Per setting: the values the file, environment and flag layers give
+   it (sexp text; each differs from the layer below and the first from
+   the default), and one malformed value. *)
+let layer_samples catalogs =
+  [
+    ("machines", (catalogs, "/nonexistent/catalog.sexp"));
+    ("machine", ([ "gt200"; "modern"; "kepler" ], "cray-1"));
+    ("seed", ([ "1"; "22"; "333" ], "banana"));
+    ("outlier-probability", ([ "0.1"; "0.2" ], "7"));
+    ("runs", ([ "2"; "3"; "4" ], "0"));
+    ("iterations", ([ "2"; "4"; "5" ], "0"));
+    ("jobs", ([ "2"; "3"; "4" ], "0"));
+    ("use-cache", ([ "false" ], "maybe"));
+    ("lint", ([ "true" ], "maybe"));
+    ("trace", ([ "a.json"; "b.json"; "c.json" ], "(a b)"));
+    ("verbose", ([ "true"; "false"; "true" ], "maybe"));
+    (* GPP_NO_CACHE=0 turns the cache back on; --no-cache turns it off. *)
+    ("cache.enabled", ([ "false"; "0"; "false" ], "maybe"));
+    ("cache.dir", ([ "d1"; "d2"; "d3" ], "(a b)"));
+    ("serve.listen", ([ "h:1"; "h:2"; "h:3" ], "(a b)"));
+    ("serve.flush-every", ([ "2"; "3"; "4" ], "0"));
+    ("predict.stages", ([ "scaled"; "learned"; "scaled,learned" ], "nope"));
+    ("predict.lambda", ([ "2.5" ], "-1"));
+    ("policy.plan", ([ "minimal"; "conservative"; "minimal" ], "bogus"));
+    ("policy.sparse-exact", ([ "true" ], "maybe"));
+    ("protocol.small-bytes", ([ "2" ], "-5"));
+    ("protocol.large-bytes", ([ "1024" ], "x"));
+    ("protocol.runs", ([ "3" ], "0"));
+    ("analytic.achieved-bw-fraction", ([ "0.5" ], "0"));
+    ("analytic.sync-cost-cycles", ([ "10" ], "-5"));
+    ("cpu.ilp-efficiency", ([ "0.5" ], "0"));
+    ("cpu.heavy-op-cycles", ([ "3" ], "-5"));
+    ("cpu.streaming-bw-fraction", ([ "0.4" ], "-1"));
+    ("sim.streaming-efficiency", ([ "0.5" ], "0"));
+    ("sim.scattered-efficiency", ([ "0.5" ], "x"));
+    ("sim.latency-jitter", ([ "0.1" ], "-1"));
+    ("sim.block-dispatch-cycles", ([ "10" ], "-100"));
+    ("sim.drain-cycles", ([ "10" ], "-100"));
+    ("sim.noise-sigma", ([ "0.25" ], "-1"));
+    ("sim.max-simulated-blocks", ([ "7" ], "1.5"));
+    ("space.block-sizes", ([ "(64 128)" ], "(0)"));
+    ("space.unroll-factors", ([ "(1 2)" ], "(1 x)"));
+    ("space.vector-widths", ([ "(1 2)" ], "x"));
+    ("space.allow-tiling", ([ "false" ], "maybe"));
+  ]
+
+(* A one-setting scenario file; a dotted key nests in its group. *)
+let with_file key text f =
+  let body =
+    match String.index_opt key '.' with
+    | Some i ->
+        Printf.sprintf "((%s ((%s %s))))" (String.sub key 0 i)
+          (String.sub key (i + 1) (String.length key - i - 1))
+          text
+    | None -> Printf.sprintf "((%s %s))" key text
+  in
+  let path = write_temp ~suffix:".sexp" body in
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+(* Every entry of the settings table, through every layer it has: each
+   layer beats the one below (file < env < flag), and a malformed value
+   is a config error naming its source (path, variable or flag). *)
+let test_config_layering () =
+  let catalogs = catalog_files () in
+  Fun.protect ~finally:(fun () -> List.iter Sys.remove catalogs) @@ fun () ->
+  let samples = layer_samples catalogs in
+  List.iter
+    (fun (key, _) ->
+      if not (List.exists (fun (s : Config.setting) -> s.key = key) Config.settings) then
+        Alcotest.failf "sample for %S, which is no setting" key)
+    samples;
+  List.iter
+    (fun (s : Config.setting) ->
+      let values, bad =
+        match List.assoc_opt s.key samples with
+        | Some sample -> sample
+        | None -> Alcotest.failf "setting %S has no layer samples" s.key
+      in
+      let resolve ?file ?env ?flag () =
+        let getenv var = if Some var = s.env then env else None in
+        let flags = Option.to_list (Option.map (fun v -> (s.key, v)) flag) in
+        match file with
+        | None -> Config.resolve ~getenv ~flags ()
+        | Some text -> with_file s.key text (fun path -> Config.resolve ~getenv ~file:path ~flags ())
+      in
+      let ok what r = Helpers.check_core (s.key ^ ": " ^ what) r in
+      let file = List.nth values 0 in
+      let below = ref (ok "file" (resolve ~file ())) in
+      Alcotest.(check bool) (s.key ^ ": file beats the default") true (!below <> Config.default);
+      let beats name ~stack ~alone =
+        let stacked = ok (name ^ " over the lower layers") stack in
+        Alcotest.(check bool) (s.key ^ ": " ^ name ^ " beats the layer below") true (stacked <> !below);
+        Alcotest.(check bool) (s.key ^ ": " ^ name ^ " alone agrees") true (stacked = ok name alone);
+        below := stacked
+      in
+      let env = Option.map (fun _ -> List.nth values 1) s.env in
+      Option.iter (fun env -> beats "env" ~stack:(resolve ~file ~env ()) ~alone:(resolve ~env ())) env;
+      Option.iter
+        (fun _ ->
+          let flag = List.nth values 2 in
+          beats "flag" ~stack:(resolve ~file ?env ~flag ()) ~alone:(resolve ~flag ()))
+        s.flag;
+      let names_source what ~source r =
+        match Helpers.check_core_error (s.key ^ ": malformed " ^ what) r with
+        | Error.Config { source = got; message } as e ->
+            Alcotest.(check (option string)) (s.key ^ ": " ^ what ^ " source") (Some source) got;
+            Helpers.check_contains (s.key ^ ": " ^ what ^ " message") ~needle:source message;
+            Alcotest.(check int) (s.key ^ ": " ^ what ^ " exit code") 2 (Error.exit_code e)
+        | e -> Alcotest.failf "%s: malformed %s: expected Config, got %s" s.key what (Error.category e)
+      in
+      with_file s.key bad (fun path ->
+          names_source "file value" ~source:path (Config.resolve ~getenv:(fun _ -> None) ~file:path ()));
+      (* Only a file can give a list, so a list sample is malformed there alone. *)
+      if bad.[0] <> '(' then begin
+        Option.iter (fun var -> names_source "env value" ~source:var (resolve ~env:bad ())) s.env;
+        Option.iter
+          (fun flag -> names_source "flag value" ~source:("--" ^ flag) (resolve ~flag:bad ()))
+          s.flag
+      end)
+    Config.settings;
+  (* The inverted variable, the other way round. *)
+  let c =
+    Helpers.check_core "GPP_NO_CACHE=1"
+      (Config.apply_env ~getenv:(getenv_of [ ("GPP_NO_CACHE", "1") ]) Config.default)
+  in
+  Alcotest.(check bool) "GPP_NO_CACHE=1 turns the cache off" false c.Config.cache_enabled
+
+(* The environment surface is exactly the variables README documents. *)
+let test_config_env_vars_documented () =
+  let readme = In_channel.with_open_bin "../README.md" In_channel.input_all in
+  let documented = ref [] in
+  let n = String.length readme in
+  let is_var ch = (ch >= 'A' && ch <= 'Z') || ch = '_' in
+  let i = ref 0 in
+  while !i < n - 4 do
+    if String.sub readme !i 4 = "GPP_" then begin
+      let j = ref (!i + 4) in
+      while !j < n && is_var readme.[!j] do
+        incr j
+      done;
+      if !j > !i + 4 then documented := String.sub readme !i (!j - !i) :: !documented;
+      i := !j
+    end
+    else incr i
+  done;
+  let table = List.filter_map (fun (s : Config.setting) -> s.env) Config.settings in
+  Alcotest.(check int) "fifteen variables" 15 (List.length table);
+  Alcotest.(check (list string))
+    "table = README" (List.sort_uniq compare !documented) (List.sort compare table)
 
 (* --- workload resolution --------------------------------------------- *)
 
@@ -364,6 +523,8 @@ let () =
           Alcotest.test_case "env layer" `Quick test_config_env_layer;
           Alcotest.test_case "precedence" `Quick test_config_precedence;
           Alcotest.test_case "transfer-plan layers" `Quick test_config_transfer_plan_layers;
+          Alcotest.test_case "layering" `Quick test_config_layering;
+          Alcotest.test_case "env vars documented" `Quick test_config_env_vars_documented;
         ] );
       ( "workload",
         [ Alcotest.test_case "resolve" `Quick test_workload_resolve ] );

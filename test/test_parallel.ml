@@ -52,8 +52,7 @@ let test_config_rejects_out_of_range_jobs () =
       Alcotest.(check int) "exit code" 2 (Gpp_core.Error.exit_code e);
       let msg = Gpp_core.Error.message e in
       Alcotest.(check bool) ("mentions range: " ^ msg) true (contains ~sub:"out of range" msg));
-  let overrides = { Config.no_overrides with o_jobs = Some 0 } in
-  match Config.resolve ~getenv:(fun _ -> None) ~overrides () with
+  match Config.resolve ~getenv:(fun _ -> None) ~flags:[ ("jobs", "0") ] () with
   | Ok _ -> Alcotest.fail "--jobs 0: expected a config error"
   | Error e -> Alcotest.(check int) "exit code" 2 (Gpp_core.Error.exit_code e)
 

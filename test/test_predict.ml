@@ -244,21 +244,6 @@ let test_correction_fit_errors () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "ragged features must not fit"
 
-(* --- config layering ------------------------------------------------- *)
-
-let test_config_layering () =
-  let module Config = Gpp_engine.Config in
-  let getenv = function "GPP_PREDICT" -> Some "scaled" | _ -> None in
-  let c = Helpers.check_core "env" (Config.resolve ~getenv ()) in
-  Alcotest.(check string) "env layer" "scaled" (Predictor.name c.Config.predictor);
-  let overrides = { Config.no_overrides with Config.o_predict = Some "scaled,learned" } in
-  let c = Helpers.check_core "flag" (Config.resolve ~getenv ~overrides ()) in
-  Alcotest.(check string) "flag beats env" "scaled,learned" (Predictor.name c.Config.predictor);
-  let overrides = { Config.no_overrides with Config.o_predict = Some "nope" } in
-  match Config.resolve ~getenv ~overrides () with
-  | Ok _ -> Alcotest.fail "unknown predictor must fail resolution"
-  | Error e -> Alcotest.(check int) "exit code 2" 2 (Gpp_engine.Error.exit_code e)
-
 let () =
   Alcotest.run "predict"
     [
@@ -292,6 +277,4 @@ let () =
           Alcotest.test_case "clamps" `Quick test_correction_clamps;
           Alcotest.test_case "fit errors" `Quick test_correction_fit_errors;
         ] );
-      ( "config",
-        [ Alcotest.test_case "layering" `Quick test_config_layering ] );
     ]

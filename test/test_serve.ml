@@ -21,15 +21,18 @@ let tmp_cache_dir =
   (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
   dir
 
+(* The server's scenario defines a machine the builtin catalog lacks. *)
+let catalog_file =
+  let path = Filename.concat tmp_cache_dir "machines.sexp" in
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc "(machines ((id hopper-x8) (base hopper) (link ((lanes 8)))))");
+  path
+
 let test_config ~listen =
-  let overrides =
-    {
-      Config.no_overrides with
-      Config.o_listen = Some listen;
-      o_cache_dir = Some tmp_cache_dir;
-    }
+  let flags =
+    [ ("serve.listen", listen); ("cache.dir", tmp_cache_dir); ("machines", catalog_file) ]
   in
-  match Config.resolve ~getenv:(fun _ -> None) ~overrides () with
+  match Config.resolve ~getenv:(fun _ -> None) ~flags () with
   | Error e -> Alcotest.failf "config: %s" (Error.message e)
   | Ok c ->
       Gpp_engine.Runtime.install c;
@@ -121,6 +124,35 @@ let test_malformed_request_structured_400 () =
   Alcotest.(check int) "missing workload" 400 status;
   let status, _, _ = get "/healthz" in
   Alcotest.(check int) "server still alive" 200 status
+
+(* Request parameters parse like every other layer's values: a
+   non-positive iteration count is a 400, not a 500 from deep inside
+   the pipeline. *)
+let test_bad_iterations_400 () =
+  List.iter
+    (fun target ->
+      let status, _, body = get target in
+      Alcotest.(check int) target 400 status;
+      Helpers.check_contains (target ^ " names the parameter") ~needle:"iterations" body)
+    [ "/project?workload=vecadd/16M&iterations=0"; "/batch?iterations=-1" ];
+  let status, _, _ =
+    get ~meth:"POST" ~body:{|{"workload": "vecadd/16M", "iterations": 0}|} "/project"
+  in
+  Alcotest.(check int) "JSON iterations 0" 400 status
+
+(* Request machine names resolve against the server's scenario catalog,
+   as `grophecy project --machines FILE -m NAME` does. *)
+let test_scenario_catalog_machines () =
+  let status, _, body =
+    get ~meth:"POST" ~body:{|{"workload": "vecadd/16M", "machine": "hopper-x8"}|} "/project"
+  in
+  Alcotest.(check int) "project on a scenario machine" 200 status;
+  Alcotest.(check bool) "non-empty report" true (String.length body > 0);
+  let status, _, _ = get "/batch?machines=hopper-x8&workloads=vecadd/16M" in
+  Alcotest.(check int) "batch on a scenario machine" 200 status;
+  let status, _, body = get "/project?workload=vecadd/16M&machine=hopper-x9" in
+  Alcotest.(check int) "unknown machine" 400 status;
+  Helpers.check_contains "lists the scenario catalog" ~needle:"hopper-x8" body
 
 let test_healthz_shape () =
   let status, _, body = get "/healthz" in
@@ -224,6 +256,8 @@ let () =
             test_concurrent_duplicates_one_miss;
           Alcotest.test_case "malformed request: structured 400" `Quick
             test_malformed_request_structured_400;
+          Alcotest.test_case "bad iterations: 400" `Quick test_bad_iterations_400;
+          Alcotest.test_case "scenario catalog machines" `Quick test_scenario_catalog_machines;
           Alcotest.test_case "healthz shape" `Quick test_healthz_shape;
           Alcotest.test_case "metrics shape" `Quick test_metrics_shape;
           Alcotest.test_case "broken pipe: connection only" `Quick
